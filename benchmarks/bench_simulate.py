@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled simulation kernel against the pure-Python fallback.
+"""Benchmark the compiled C simulation kernel against the pure-Python fallback.
 
 The recursion is inherently sequential, so this loop is the package's hot
 path; everything else (root solves, Newton refinement, reports) is O(period).
@@ -12,13 +12,8 @@ import time
 
 import numpy as np
 
-from pplab import BevertonHolt, PeriodicSystem, Pielou, RationalSaturating
+from pplab import BevertonHolt, PeriodicSystem, Pielou, RationalSaturating, kernels
 from pplab.kernels import _fallback, pack_system
-
-try:
-    from pplab.kernels import _speedups
-except ImportError:
-    _speedups = None
 
 
 def best_time(fn, repeats):
@@ -52,15 +47,15 @@ def main():
     t_py = best_time(lambda: _fallback.simulate_packed(*packed, *run_args), args.repeats)
     print(f"  pure python : {t_py:8.3f} s   {args.steps / t_py / 1e6:8.2f} Msteps/s")
 
-    if _speedups is None:
-        print("  compiled    : not built (pip install -e . with a C compiler)")
+    if kernels.BACKEND != "compiled":
+        print("  compiled    : not built (python setup.py build_ext --inplace, needs a C compiler)")
         return
 
-    t_c = best_time(lambda: _speedups.simulate_packed(*packed, *run_args), args.repeats)
+    t_c = best_time(lambda: kernels.simulate_packed(*packed, *run_args), args.repeats)
     print(f"  compiled    : {t_c:8.3f} s   {args.steps / t_c / 1e6:8.2f} Msteps/s")
     print(f"\n  speedup     : {t_py / t_c:.1f}x")
 
-    fast, _ = _speedups.simulate_packed(*packed, *run_args)
+    fast, _ = kernels.simulate_packed(*packed, *run_args)
     slow, _ = _fallback.simulate_packed(*packed, *run_args)
     identical = np.array_equal(fast, slow)
     print(f"  bit-identical results: {identical}")

@@ -164,6 +164,8 @@ def load_scenario(path) -> Scenario:
     if n_initials < 1:
         raise ScenarioError(f"verify.n_initials must be >= 1, got {n_initials}")
     seed = _integer(verify, "seed", "verify", DEFAULT_VERIFY["seed"])
+    if seed < 0:
+        raise ScenarioError(f"verify.seed must be >= 0, got {seed}")
 
     outputs = _section(data, "outputs", ("report_path", "trajectory_csv_path"))
     report_path = outputs.get("report_path", DEFAULT_REPORT_PATH)
@@ -231,6 +233,8 @@ def run(command: str, scenario_path, out_dir=".") -> int:
             seed = int(env_seed)
         except ValueError:
             raise ScenarioError(f"PPLAB_SEED must be an integer, got {env_seed!r}") from None
+        if seed < 0:
+            raise ScenarioError(f"PPLAB_SEED must be >= 0, got {seed}")
 
     failures: list[str] = []
     report: dict = {
@@ -244,6 +248,7 @@ def run(command: str, scenario_path, out_dir=".") -> int:
     k = system.period
     cls = classify(system)
     bounds = None
+    permanence = None
 
     if command in ("analyze", "orbit", "verify", "full"):
         report["classification"] = {
@@ -252,7 +257,12 @@ def run(command: str, scenario_path, out_dir=".") -> int:
             "product_limit": cls.product_limit,
         }
         if cls.is_periodic_attractive:
-            bounds = permanence_bounds(system, sc.root_tol)
+            try:
+                bounds = permanence_bounds(system, sc.root_tol)
+            except NonConvergenceError as exc:
+                permanence = {"status": "failed", "reason": str(exc)}
+            else:
+                permanence = {"root": bounds.root, "lower": bounds.lower, "upper": bounds.upper}
         grid = GridSpec(x_max=10.0 * bounds.upper if bounds is not None else 100.0)
         hyp = check_hypotheses(system, grid)
         report["hypotheses"] = {
@@ -266,12 +276,10 @@ def run(command: str, scenario_path, out_dir=".") -> int:
         }
         if not hyp.all_ok:
             failures.append("hypotheses: monotonicity check failed on the grid")
-        if bounds is not None:
-            report["permanence"] = {
-                "root": bounds.root,
-                "lower": bounds.lower,
-                "upper": bounds.upper,
-            }
+        if permanence is not None:
+            report["permanence"] = permanence
+            if bounds is None:
+                failures.append(f"permanence: {permanence['reason']}")
 
     orbit = None
     if command in ("orbit", "verify", "full"):

@@ -10,6 +10,7 @@ Newton iteration on the period-advance map of the state pair
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -453,7 +454,8 @@ def verify_attractivity(
     """Check that randomized initial conditions all converge to the cycle.
 
     Draws ``n_initials`` pairs (x0, xm1) log-uniformly over
-    [lower/10, 10*upper] from the given seed, always appending the boundary
+    [lower/10, 10*upper] from the given seed (the low end floored at the
+    smallest normal double), always appending the boundary
     initial (root, 0.0), simulates each for ``steps`` steps, and compares the
     residue-aligned tail against the cycle.  Also records whether every
     post-burn-in sample stayed inside the permanence interval.  The runs are
@@ -481,7 +483,9 @@ def verify_attractivity(
         raise ValueError(f"tol must be positive, got {tol!r}")
     bounds = permanence_bounds(system)
     rng = np.random.default_rng(seed)
-    log_lo = math.log(bounds.lower / 10.0)
+    # lower underflows to 0 for strongly persistent long-period schedules;
+    # flooring at the smallest normal double keeps the log finite.
+    log_lo = math.log(max(bounds.lower / 10.0, sys.float_info.min))
     log_hi = math.log(10.0 * bounds.upper)
     x0s = np.exp(rng.uniform(log_lo, log_hi, n_initials))
     xm1s = np.exp(rng.uniform(log_lo, log_hi, n_initials))

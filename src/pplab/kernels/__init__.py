@@ -1,4 +1,4 @@
-"""Simulation backends: a compiled extension when available, pure Python otherwise.
+"""Simulation backends: a compiled C kernel when built, pure Python otherwise.
 
 Both backends implement one contract::
 
@@ -6,14 +6,18 @@ Both backends implement one contract::
         -> (values, status)
 
 where ``values`` holds x[1..m] (m < steps when a guard fired) and ``status``
-is one of the STATUS_* constants below.  Arithmetic order is identical in
-both, and the extension is compiled without FP contraction, so the two
-produce bit-identical trajectories.
+is one of the STATUS_* constants below.  The compiled kernel is the plain C
+file ``_kernel.c``, built by ``python setup.py build_ext --inplace`` (or any
+install with a C compiler) and loaded through ctypes; the call releases the
+GIL.  Arithmetic order is identical in both, and the C file is compiled
+without FP contraction, so the two produce bit-identical trajectories.
 
 Set ``PPLAB_PURE_PYTHON=1`` to force the fallback.
 """
 
+import ctypes
 import os
+from importlib.machinery import EXTENSION_SUFFIXES
 
 import numpy as np
 
@@ -27,21 +31,46 @@ CODE_PIELOU = 0
 CODE_BEVERTON_HOLT = 1
 CODE_RATIONAL = 2
 
-if os.environ.get("PPLAB_PURE_PYTHON", "") not in ("", "0"):
-    from pplab.kernels import _fallback as _impl
 
-    BACKEND = "python"
-else:
+def _load_compiled(directory, filename):
+    """simulate_packed on the C library ``directory/filename``; None if absent or unloadable."""
+    path = os.path.join(directory, filename)
+    if not os.path.isfile(path):
+        return None
     try:
-        from pplab.kernels import _speedups as _impl
+        c_fn = ctypes.CDLL(path).simulate_packed
+    except OSError:
+        return None
+    dbl, i64, ptr = ctypes.c_double, ctypes.c_int64, ctypes.c_void_p
+    c_fn.argtypes = [ptr] * 4 + [i64, dbl, dbl, i64, dbl, dbl, ptr, ctypes.POINTER(ctypes.c_int32)]
+    c_fn.restype = i64
 
-        BACKEND = "compiled"
-    except ImportError:
-        from pplab.kernels import _fallback as _impl
+    def simulate_packed(codes, p1, p2, p3, x0, xm1, steps, stop_below, overflow_limit):
+        # The C loop trusts these lengths; checking them here keeps it memory safe.
+        arrays = [np.ascontiguousarray(codes, dtype=np.int32)]
+        arrays += [np.ascontiguousarray(p, dtype=np.float64) for p in (p1, p2, p3)]
+        k = arrays[0].size
+        if k < 1 or any(a.shape != (k,) for a in arrays):
+            raise ValueError(f"codes, p1..p3 need one 1-d length >= 1: {[a.shape for a in arrays]}")
+        steps = int(steps)
+        if steps < 0:
+            raise ValueError(f"steps must be >= 0, got {steps}")
+        out = np.empty(steps, dtype=np.float64)
+        status = ctypes.c_int32()
+        m = c_fn(*(a.ctypes.data for a in arrays), k, x0, xm1, steps, stop_below,
+                 overflow_limit, out.ctypes.data, ctypes.byref(status))
+        return out[:m], status.value
 
-        BACKEND = "python"
+    return simulate_packed
 
-simulate_packed = _impl.simulate_packed
+
+simulate_packed = None
+if os.environ.get("PPLAB_PURE_PYTHON", "") in ("", "0"):
+    # EXTENSION_SUFFIXES[0] is the suffix setuptools gives the built library.
+    simulate_packed = _load_compiled(os.path.dirname(__file__), "_kernel" + EXTENSION_SUFFIXES[0])
+BACKEND = "python" if simulate_packed is None else "compiled"
+if simulate_packed is None:
+    from pplab.kernels._fallback import simulate_packed
 
 
 def pack_system(system):

@@ -1,7 +1,7 @@
 """Pure-Python reference implementation of the simulation kernel.
 
-Statement order in the loop matches pplab.kernels._speedups exactly so both
-backends produce bit-identical trajectories.
+Statement order in the loop matches the compiled kernel ``_kernel.c`` exactly,
+so both backends produce bit-identical trajectories.
 """
 
 import numpy as np

@@ -1,0 +1,31 @@
+/* Compiled simulation kernel, loaded through ctypes by pplab.kernels: the loop of
+ * pplab.kernels._fallback.simulate_packed statement for statement, built with
+ * -ffp-contract=off so the two backends are bit-identical.  The caller checks that
+ * codes and p1..p3 hold k >= 1 entries and out holds steps doubles.  Returns m. */
+#include <stdint.h>
+
+int64_t simulate_packed(const int32_t *codes, const double *p1, const double *p2,
+                        const double *p3, int64_t k, double x0, double xm1, int64_t steps,
+                        double stop_below, double overflow_limit, double *out, int32_t *status)
+{
+    double prev = xm1, cur = x0, f, nxt;
+    int64_t idx = k - 1, m = 0; /* idx: slot of the coefficient for index 0 */
+    *status = 0;
+    while (m < steps) {
+        if (codes[idx] == 0)
+            f = p1[idx] / (1.0 + prev);
+        else if (codes[idx] == 1)
+            f = p1[idx] / (1.0 + (p1[idx] - 1.0) * prev / p2[idx]);
+        else
+            f = p1[idx] / (1.0 + p2[idx] * prev / (1.0 + p3[idx] * prev));
+        nxt = cur * f;
+        out[m++] = nxt;
+        prev = cur;
+        cur = nxt;
+        if (++idx == k) idx = 0;
+        if (nxt > overflow_limit) { *status = 1; break; }
+        if (nxt <= 0.0) { *status = 2; break; }
+        if (nxt < stop_below) break;
+    }
+    return m;
+}

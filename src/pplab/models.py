@@ -36,10 +36,7 @@ def _require_point(x: float) -> float:
 class CoefficientFamily(ABC):
     """One coefficient function f of the recursion.
 
-    Implementations must be positive and bounded on [0, +inf).  The built-in
-    families are strictly decreasing, so their declared bound is the value at
-    zero; a custom family that is not decreasing must override
-    :meth:`upper_bound`.
+    Implementations must be positive and bounded on [0, +inf).
     """
 
     @abstractmethod
@@ -53,10 +50,6 @@ class CoefficientFamily(ABC):
     @abstractmethod
     def limit_at_infinity(self) -> float:
         """lim of f(x) as x grows without bound."""
-
-    def upper_bound(self) -> float:
-        """A bound for f on [0, +inf); equals f(0) for decreasing families."""
-        return self.at_zero()
 
 
 @dataclass(frozen=True)

@@ -111,9 +111,6 @@ class _Wiggle(CoefficientFamily):
     def limit_at_infinity(self):
         return 0.0
 
-    def upper_bound(self):
-        return 2.0
-
 
 class TestHypothesisChecks:
     def test_builtins_pass(self, pielou_k1, beverton_k1):

@@ -91,6 +91,17 @@ class TestCommands:
         report = read_report(out)
         assert report["verification"]["passed"] is False
 
+    def test_unattainable_root_tol_fails_permanence(self, tmp_path):
+        # no double meets |product(root) - 1| <= 1e-18, so the root solve
+        # gives up; the report records that instead of a traceback
+        scenario = write_scenario(tmp_path / "s.json", tolerances={"root_tol": 1e-18})
+        out = tmp_path / "out"
+        assert run("analyze", scenario, out) == 2
+        report = read_report(out)
+        assert report["permanence"]["status"] == "failed"
+        assert "tol=1e-18" in report["permanence"]["reason"]
+        assert report["status"]["failures"] == [f"permanence: {report['permanence']['reason']}"]
+
     def test_simulate_writes_csv_and_stats(self, scenario_file, tmp_path):
         out = tmp_path / "out"
         assert run("simulate", scenario_file, out) == 0
@@ -185,8 +196,9 @@ class TestDeterminismAndRoundTrip:
         assert report["verification"]["seed"] == 7
         assert report["scenario"]["verify"]["seed"] == 7
 
-    def test_bad_env_seed_is_input_error(self, scenario_file, tmp_path, monkeypatch):
-        monkeypatch.setenv("PPLAB_SEED", "lucky")
+    @pytest.mark.parametrize("env_seed", ["lucky", "-1"])
+    def test_bad_env_seed_is_input_error(self, scenario_file, tmp_path, monkeypatch, env_seed):
+        monkeypatch.setenv("PPLAB_SEED", env_seed)
         with pytest.raises(ScenarioError):
             run("analyze", scenario_file, tmp_path)
 
@@ -265,6 +277,7 @@ class TestScenarioValidation:
             {"tolerances": {"root_tol": 0.0}},
             {"verify": {"n_initials": 0}},
             {"outputs": {"report_path": ""}},
+            {"verify": {"seed": -3}},
         ],
     )
     def test_field_validation(self, tmp_path, overrides):

@@ -1,3 +1,6 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 
@@ -294,6 +297,19 @@ class TestVerifyAttractivity:
         orbit = extract_orbit(pielou_k1)
         with pytest.raises(NoOrbitError):
             verify_attractivity(pielou_k2_boundary, orbit)
+
+    def test_underflowed_lower_bound(self):
+        # P0 = 1e20 spread over k = 20 slots: lower = root * product(upper)
+        # underflows to 0.0, and sampling starts at the smallest normal double
+        k = 20
+        system = PeriodicSystem(
+            [Pielou(math.exp(math.sin(2 * math.pi * n / k) + math.log(1e20) / k)) for n in range(k)]
+        )
+        orbit = extract_orbit(system)
+        report = verify_attractivity(system, orbit, n_initials=4, steps=4_000, seed=0)
+        assert report.lower == 0.0
+        assert min(min(pair) for pair in report.initials[:-1]) >= 0.5 * sys.float_info.min
+        assert report.passed
 
     def test_seed_determinism(self, pielou_k1):
         orbit = extract_orbit(pielou_k1)

@@ -1,5 +1,7 @@
 import importlib
 import os
+import shutil
+import subprocess
 
 import numpy as np
 import pytest
@@ -14,12 +16,22 @@ from pplab import (
 )
 from pplab.kernels import _fallback
 
-try:
-    from pplab.kernels import _speedups
-except ImportError:
-    _speedups = None
 
-needs_compiled = pytest.mark.skipif(_speedups is None, reason="compiled kernel not built")
+@pytest.fixture(scope="session")
+def compiled(tmp_path_factory):
+    """simulate_packed of _kernel.c, compiled here and bound by the package's loader."""
+    cc = shutil.which("cc")
+    if cc is None:
+        pytest.skip("no C compiler (cc) on PATH")
+    out_dir = tmp_path_factory.mktemp("kernel")
+    source = os.path.join(os.path.dirname(kernels.__file__), "_kernel.c")
+    subprocess.run(
+        [cc, "-O3", "-ffp-contract=off", "-shared", "-fPIC", source, "-o", str(out_dir / "_kernel.so")],
+        check=True,
+    )
+    simulate_packed = kernels._load_compiled(str(out_dir), "_kernel.so")
+    assert simulate_packed is not None
+    return simulate_packed
 
 
 def _mixed_system():
@@ -83,13 +95,12 @@ class TestFallbackSemantics:
         assert values[-1] == 0.0
 
 
-@needs_compiled
 class TestBackendAgreement:
     # identical statement order and -ffp-contract=off make the two backends
     # bit-identical, not merely close
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_bit_identical_trajectories(self, seed):
+    def test_bit_identical_trajectories(self, compiled, seed):
         rng = np.random.default_rng(seed)
         k = int(rng.integers(1, 6))
         families = []
@@ -112,12 +123,12 @@ class TestBackendAgreement:
         packed = kernels.pack_system(PeriodicSystem(families))
         x0 = float(rng.uniform(0.01, 10.0))
         xm1 = float(rng.uniform(0.0, 10.0))
-        fast, s_fast = _speedups.simulate_packed(*packed, x0, xm1, 10_000, 0.0, 1e300)
+        fast, s_fast = compiled(*packed, x0, xm1, 10_000, 0.0, 1e300)
         slow, s_slow = _fallback.simulate_packed(*packed, x0, xm1, 10_000, 0.0, 1e300)
         assert s_fast == s_slow
         assert np.array_equal(fast, slow)
 
-    def test_guard_statuses_agree(self):
+    def test_guard_statuses_agree(self, compiled):
         cases = [
             (PeriodicSystem([Pielou(1e30)]), 1e280, 0.0, 50, 0.0),       # overflow
             (PeriodicSystem([Pielou(1e-10)]), 1.0, 0.0, 100, 0.0),       # underflow
@@ -125,10 +136,23 @@ class TestBackendAgreement:
         ]
         for system, x0, xm1, steps, floor in cases:
             packed = kernels.pack_system(system)
-            fast, s_fast = _speedups.simulate_packed(*packed, x0, xm1, steps, floor, 1e300)
+            fast, s_fast = compiled(*packed, x0, xm1, steps, floor, 1e300)
             slow, s_slow = _fallback.simulate_packed(*packed, x0, xm1, steps, floor, 1e300)
             assert s_fast == s_slow
             assert np.array_equal(fast, slow)
+
+    def test_compiled_argument_checks(self, compiled):
+        codes, p1, p2, p3 = kernels.pack_system(_mixed_system())
+        # other dtypes and sequences are coerced, not reinterpreted
+        coerced, _ = compiled(codes.astype(np.int64), p1.tolist(), p2, p3, 1.0, 1.0, 100, 0.0, 1e300)
+        reference, _ = _fallback.simulate_packed(codes, p1, p2, p3, 1.0, 1.0, 100, 0.0, 1e300)
+        assert np.array_equal(coerced, reference)
+        with pytest.raises(ValueError, match="one 1-d length"):
+            compiled(codes, p1, p2[:2], p3, 1.0, 1.0, 10, 0.0, 1e300)
+        with pytest.raises(ValueError, match="one 1-d length"):
+            compiled(codes[:0], p1[:0], p2[:0], p3[:0], 1.0, 1.0, 10, 0.0, 1e300)
+        with pytest.raises(ValueError, match="steps"):
+            compiled(codes, p1, p2, p3, 1.0, 1.0, -1, 0.0, 1e300)
 
 
 class TestBackendSelection:

@@ -44,10 +44,6 @@ class TestEvaluation:
         assert BevertonHolt(lam=2.0, capacity=10.0).limit_at_infinity() == 0.0
         assert RationalSaturating(beta=3.0, alpha1=2.0, alpha2=1.0).limit_at_infinity() == 1.0
 
-    def test_upper_bound_is_value_at_zero(self):
-        for fam in (Pielou(2.5), BevertonHolt(3.0, 5.0), RationalSaturating(2.0, 1.0, 1.0)):
-            assert fam.upper_bound() == fam.at_zero()
-
 
 class TestValidation:
     @pytest.mark.parametrize("beta", [0.0, -1.0, math.nan, math.inf])
