@@ -33,7 +33,6 @@ from pplab.dynamics import (
     orbit_relation_residuals,
     residue_stats,
     simulate,
-    step,
     verify_attractivity,
 )
 from pplab.errors import (
@@ -89,7 +88,6 @@ __all__ = [
     "residue_stats",
     "simulate",
     "solve_product_root",
-    "step",
     "verify_attractivity",
     "__version__",
 ]

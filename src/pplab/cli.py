@@ -288,8 +288,9 @@ def run(command: str, scenario_path, out_dir=".") -> int:
             report["orbit"] = {"status": "not_applicable", "reason": reason}
             failures.append(f"orbit: not applicable ({reason})")
         else:
+            warm_start = None if bounds is None else (bounds.root, bounds.root)
             try:
-                orbit = extract_orbit(system, refine_tol=sc.orbit_tol)
+                orbit = extract_orbit(system, refine_tol=sc.orbit_tol, warm_start=warm_start)
             except NonConvergenceError as exc:
                 report["orbit"] = {"status": "failed", "reason": str(exc)}
                 failures.append(f"orbit: {exc}")
@@ -307,7 +308,11 @@ def run(command: str, scenario_path, out_dir=".") -> int:
                     "max_residual": rel.max_residual,
                 }
 
-    if command in ("verify", "full") and orbit is not None:
+    if command in ("verify", "full") and orbit is not None and bounds is None:
+        reason = "permanence bounds unavailable: the root solve failed"
+        report["verification"] = {"status": "not_run", "reason": reason}
+        failures.append(f"verification: not run ({reason})")
+    elif command in ("verify", "full") and orbit is not None:
         ver = verify_attractivity(
             system,
             orbit,
@@ -316,6 +321,7 @@ def run(command: str, scenario_path, out_dir=".") -> int:
             seed=seed,
             tol=sc.verify_tol,
             burn_in=sc.burn_in,
+            bounds=bounds,
         )
         report["verification"] = {
             "tol": ver.tol,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from pplab import kernels
-from pplab.analysis import classify, permanence_bounds, solve_product_root
+from pplab.analysis import PermanenceBounds, classify, permanence_bounds, solve_product_root
 from pplab.errors import NonConvergenceError, NoOrbitError, TrajectoryOverflowError
 from pplab.models import PeriodicSystem
 
@@ -58,53 +58,12 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.values)
 
-    def value(self, n: int) -> float:
-        """x[n] for 1 <= n <= len(self)."""
-        if not 1 <= n <= len(self.values):
-            raise IndexError(f"trajectory holds x[1..{len(self.values)}], asked for x[{n}]")
-        return float(self.values[n - 1])
-
-    def residue_of(self, n: int) -> int:
-        return ((n - 1) % self.period) + 1
-
     def write_csv(self, path) -> None:
         """Write the trajectory as CSV with header ``n,x``, one row per step."""
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write("n,x\n")
             for i, v in enumerate(self.values.tolist(), start=1):
                 fh.write(f"{i},{v!r}\n")
-
-
-def step(system: PeriodicSystem, n: int, x_n: float, x_prev: float) -> float:
-    """One application of the recursion: x[n+1] = x[n] * f_n(x[n-1])."""
-    x_n = float(x_n)
-    if not (math.isfinite(x_n) and x_n > 0.0):
-        raise ValueError(f"current state must be a positive finite real, got {x_n!r}")
-    return x_n * system.growth_factor(n, x_prev)
-
-
-def _simulate_generic(system, x0, xm1, steps, stop_below, overflow_limit):
-    # Same semantics as kernels.simulate_packed, for custom families.
-    out = np.empty(steps, dtype=np.float64)
-    prev = xm1
-    cur = x0
-    status = kernels.STATUS_OK
-    m = 0
-    for j in range(steps):
-        nxt = cur * system.growth_factor(j, prev)
-        out[m] = nxt
-        m += 1
-        prev = cur
-        cur = nxt
-        if nxt > overflow_limit:
-            status = kernels.STATUS_OVERFLOW
-            break
-        if nxt <= 0.0:
-            status = kernels.STATUS_UNDERFLOW
-            break
-        if nxt < stop_below:
-            break
-    return out[:m], status
 
 
 def simulate(
@@ -140,7 +99,8 @@ def simulate(
             *packed, x0, xm1, steps, floor, float(overflow_limit)
         )
     else:
-        values, status = _simulate_generic(system, x0, xm1, steps, floor, float(overflow_limit))
+        factors = [fam.value for fam in system.coefficients]
+        values, status = kernels.iterate(factors, x0, xm1, steps, floor, float(overflow_limit))
     if status == kernels.STATUS_OVERFLOW:
         raise TrajectoryOverflowError(
             f"x[{len(values)}] = {values[-1]:.6g} exceeded the overflow limit "
@@ -177,11 +137,11 @@ def residue_stats(traj: Trajectory, burn_in: int) -> ResidueStats:
         raise ValueError(f"burn_in must lie in [0, {n_total}), got {burn_in}")
     k = traj.period
     tail = traj.values[burn_in:]
-    h_of = (np.arange(burn_in + 1, n_total + 1) - 1) % k + 1
     sup = np.empty(k)
     inf = np.empty(k)
     for h in range(1, k + 1):
-        sel = tail[h_of == h]
+        # tail[i] is x[burn_in + 1 + i], whose residue is h when i = h - 1 - burn_in mod k
+        sel = tail[(h - 1 - burn_in) % k :: k]
         if sel.size == 0:
             raise ValueError(
                 f"no tail samples for residue {h}: burn_in={burn_in} leaves "
@@ -237,33 +197,9 @@ def orbit_product_residual(system: PeriodicSystem, values: np.ndarray) -> float:
     return worst
 
 
-def _kfold_map(system, u, v):
-    # Advance the state pair (x[n-1], x[n]) = (u, v) by one full period.
-    prev, cur = u, v
-    for n in range(system.period):
-        prev, cur = cur, cur * system.growth_factor(n, prev)
-    return prev, cur
-
-
-def _regenerate(system, z):
-    # Cycle values x*[1..k] generated by stepping from (x[-1], x[0]) = z.
-    k = system.period
-    prev, cur = z[0], z[1]
-    vals = np.empty(k)
-    for n in range(k):
-        prev, cur = cur, cur * system.growth_factor(n, prev)
-        vals[n] = cur
-    return vals
-
-
 def _tail_cycle(traj: Trajectory) -> np.ndarray:
-    # Residue-aligned view of the last k trajectory values.
-    k = traj.period
-    n_total = len(traj)
-    out = np.empty(k)
-    for n in range(n_total - k + 1, n_total + 1):
-        out[(n - 1) % k] = traj.values[n - 1]
-    return out
+    # Residue-aligned copy of the last k trajectory values: x[n] lands at (n - 1) mod k.
+    return np.roll(traj.values[-traj.period :], len(traj) % traj.period)
 
 
 def _newton_refine(system, guess, refine_tol):
@@ -271,10 +207,24 @@ def _newton_refine(system, guess, refine_tol):
     # forward-difference Jacobian; returns None on any failure so the caller
     # can fall back to the simulated estimate.
     k = system.period
+    factors = [fam.value for fam in system.coefficients]
+
+    def period_values(z):
+        # x[1..k] stepped from (x[-1], x[0]) = z; None once a value reaches zero.
+        values, status = kernels.iterate(factors, z[1], z[0], k, 0.0, math.inf)
+        return values if status == kernels.STATUS_OK else None
+
+    def period_advance(z):
+        # The state pair (x[k-1], x[k]) after one full period from z.
+        values = period_values(z)
+        return None if values is None else np.append(z[1], values)[-2:]
+
     z = np.array([guess[(k - 2) % k], guess[k - 1]], dtype=np.float64)
     identity = np.eye(2)
     for _ in range(_NEWTON_MAX_ITER):
-        g = np.array(_kfold_map(system, z[0], z[1]))
+        g = period_advance(z)
+        if g is None:
+            return None
         f = g - z
         if not np.isfinite(f).all():
             return None
@@ -290,7 +240,10 @@ def _newton_refine(system, guess, refine_tol):
                 h = _FD_ABS_FLOOR
             zp = z.copy()
             zp[i] += h
-            jac[:, i] = (np.array(_kfold_map(system, zp[0], zp[1])) - g) / h
+            gp = period_advance(zp)
+            if gp is None:
+                return None
+            jac[:, i] = (gp - g) / h
         try:
             delta = np.linalg.solve(jac - identity, -f)
         except np.linalg.LinAlgError:
@@ -306,8 +259,8 @@ def _newton_refine(system, guess, refine_tol):
         if (znew <= 0.0).any():
             return None
         z = znew
-    values = _regenerate(system, z)
-    if not np.isfinite(values).all() or (values <= 0.0).any():
+    values = period_values(z)
+    if values is None or not np.isfinite(values).all():
         return None
     res = closure_residual(system, values)
     if res <= refine_tol:
@@ -450,6 +403,7 @@ def verify_attractivity(
     seed: int = 0,
     tol: float = 1e-8,
     burn_in: int | None = None,
+    bounds: PermanenceBounds | None = None,
 ) -> AttractivityReport:
     """Check that randomized initial conditions all converge to the cycle.
 
@@ -459,7 +413,9 @@ def verify_attractivity(
     initial (root, 0.0), simulates each for ``steps`` steps, and compares the
     residue-aligned tail against the cycle.  Also records whether every
     post-burn-in sample stayed inside the permanence interval.  The runs are
-    independent (results are ordered by initial index).
+    independent (results are ordered by initial index).  ``bounds`` are the
+    system's permanence bounds, solved here at the default tolerance when
+    omitted.
     """
     cls = classify(system)
     if not cls.is_periodic_attractive:
@@ -481,7 +437,8 @@ def verify_attractivity(
         raise ValueError(f"burn_in must lie in [0, steps), got {burn_in} with steps={steps}")
     if not (tol > 0.0):
         raise ValueError(f"tol must be positive, got {tol!r}")
-    bounds = permanence_bounds(system)
+    if bounds is None:
+        bounds = permanence_bounds(system)
     rng = np.random.default_rng(seed)
     # lower underflows to 0 for strongly persistent long-period schedules;
     # flooring at the smallest normal double keeps the log finite.

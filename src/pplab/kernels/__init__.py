@@ -6,8 +6,12 @@ Both backends implement one contract::
         -> (values, status)
 
 where ``values`` holds x[1..m] (m < steps when a guard fired) and ``status``
-is one of the STATUS_* constants below.  The compiled kernel is the plain C
-file ``_kernel.c``, built by ``python setup.py build_ext --inplace`` (or any
+is one of the STATUS_* constants below.  The reference is ``iterate`` in
+``_fallback``, the only Python loop of the recursion: it takes one callable
+per slot, so it also runs custom families and the period map of orbit
+extraction.  The fallback's ``simulate_packed`` maps the packed arrays to the
+closed forms and calls it.  The compiled kernel is the plain C file
+``_kernel.c``, built by ``python setup.py build_ext --inplace`` (or any
 install with a C compiler) and loaded through ctypes; the call releases the
 GIL.  Arithmetic order is identical in both, and the C file is compiled
 without FP contraction, so the two produce bit-identical trajectories.
@@ -22,6 +26,7 @@ from importlib.machinery import EXTENSION_SUFFIXES
 import numpy as np
 
 from pplab import models
+from pplab.kernels._fallback import iterate
 
 STATUS_OK = 0
 STATUS_OVERFLOW = 1
@@ -77,7 +82,7 @@ def pack_system(system):
     """Encode the system's families as (codes, p1, p2, p3) kernel arrays.
 
     Returns None when some coefficient is a custom family the kernels cannot
-    evaluate; callers then fall back to a generic step loop.
+    evaluate; callers then run ``iterate`` on the families' ``value`` methods.
     """
     k = system.period
     codes = np.empty(k, dtype=np.int32)

@@ -1,5 +1,6 @@
-/* Compiled simulation kernel, loaded through ctypes by pplab.kernels: the loop of
- * pplab.kernels._fallback.simulate_packed statement for statement, built with
+/* Compiled simulation kernel, loaded through ctypes by pplab.kernels.  It is the
+ * reference loop pplab.kernels._fallback.iterate statement for statement, with the
+ * closed forms of the fallback's simulate_packed inlined, and it is built with
  * -ffp-contract=off so the two backends are bit-identical.  The caller checks that
  * codes and p1..p3 hold k >= 1 entries and out holds steps doubles.  Returns m. */
 #include <stdint.h>

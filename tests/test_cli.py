@@ -1,8 +1,14 @@
 import json
+import os
 
 import pytest
 
+from pplab import kernels
 from pplab.cli import ScenarioError, load_scenario, main, run
+from pplab.kernels import _fallback
+
+SCENARIO_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scenarios")
+SHIPPED_SCENARIOS = sorted(f for f in os.listdir(SCENARIO_DIR) if f.endswith(".json"))
 
 
 def write_scenario(path, **overrides):
@@ -101,6 +107,19 @@ class TestCommands:
         assert report["permanence"]["status"] == "failed"
         assert "tol=1e-18" in report["permanence"]["reason"]
         assert report["status"]["failures"] == [f"permanence: {report['permanence']['reason']}"]
+        # verification samples from the permanence bounds, so it does not run
+        # on bounds solved at some other tolerance
+        out = tmp_path / "verify"
+        assert run("verify", scenario, out) == 2
+        report = read_report(out)
+        assert report["permanence"]["status"] == "failed"
+        assert report["orbit"]["status"] == "ok"
+        assert report["verification"]["status"] == "not_run"
+        assert "passed" not in report["verification"]
+        assert report["status"]["failures"] == [
+            f"permanence: {report['permanence']['reason']}",
+            f"verification: not run ({report['verification']['reason']})",
+        ]
 
     def test_simulate_writes_csv_and_stats(self, scenario_file, tmp_path):
         out = tmp_path / "out"
@@ -181,6 +200,19 @@ class TestDeterminismAndRoundTrip:
         assert run("full", scenario_file, out_b) == 0
         assert (out_a / "report.json").read_bytes() == (out_b / "report.json").read_bytes()
         assert (out_a / "trajectory.csv").read_bytes() == (out_b / "trajectory.csv").read_bytes()
+
+    @pytest.mark.parametrize("name", SHIPPED_SCENARIOS)
+    def test_shipped_full_runs_agree_across_backends(self, name, compiled, tmp_path, monkeypatch):
+        scenario = os.path.join(SCENARIO_DIR, name)
+        outputs = []
+        for backend, simulate_packed in (("python", _fallback.simulate_packed), ("compiled", compiled)):
+            monkeypatch.setattr(kernels, "simulate_packed", simulate_packed)
+            monkeypatch.setattr(kernels, "BACKEND", backend)
+            out = tmp_path / backend
+            code = run("full", scenario, out)
+            report = (out / "report.json").read_bytes().replace(f'"backend": "{backend}"'.encode(), b"")
+            outputs.append((code, report, (out / "trajectory.csv").read_bytes()))
+        assert outputs[0] == outputs[1]
 
     def test_report_round_trip(self, scenario_file, tmp_path):
         out = tmp_path / "out"

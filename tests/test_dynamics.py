@@ -1,4 +1,5 @@
 import math
+import shutil
 import sys
 
 import numpy as np
@@ -11,30 +12,14 @@ from pplab import (
     Pielou,
     TrajectoryOverflowError,
     extract_orbit,
+    kernels,
     orbit_product_residual,
     orbit_relation_residuals,
     residue_stats,
     simulate,
-    step,
     verify_attractivity,
 )
-
-
-class TestStep:
-    def test_equilibrium(self, pielou_k1):
-        assert step(pielou_k1, 0, 1.0, 1.0) == 1.0
-
-    def test_zero_delay_state(self, pielou_k1):
-        assert step(pielou_k1, 0, 0.5, 0.0) == 1.0
-
-    def test_k2_slot_one(self, pielou_k2):
-        assert step(pielou_k2, 1, 1.0, 1.0) == 0.25
-
-    def test_rejects_nonpositive_state(self, pielou_k1):
-        with pytest.raises(ValueError):
-            step(pielou_k1, 0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            step(pielou_k1, 0, 1.0, -1.0)
+from pplab.kernels import _fallback
 
 
 class TestSimulate:
@@ -95,12 +80,9 @@ class TestSimulate:
     def test_trajectory_helpers(self, pielou_k2):
         traj = simulate(pielou_k2, 1.0, 1.0, 10)
         assert len(traj) == 10
-        assert traj.value(1) == traj.values[0]
-        assert traj.residue_of(1) == 1
-        assert traj.residue_of(2) == 2
-        assert traj.residue_of(3) == 1
-        with pytest.raises(IndexError):
-            traj.value(11)
+        assert traj.period == 2
+        # index 0 uses slot 2: x[1] = 1 * 3 / (1 + 1), x[2] = x[1] * 0.5 / (1 + 1)
+        assert traj.values[:2].tolist() == [1.5, 0.375]
 
     def test_write_csv(self, tmp_path, pielou_k2):
         traj = simulate(pielou_k2, 1.0, 1.0, 5)
@@ -142,6 +124,29 @@ class TestGenericPath:
         with pytest.raises(TrajectoryOverflowError):
             simulate(system, 1e280, 0.0, 50)
 
+    @pytest.mark.parametrize(
+        "betas, x0, steps, floor, status",
+        [
+            ([1e30], 1e280, 50, 0.0, kernels.STATUS_OVERFLOW),
+            ([1e-10], 1.0, 100, 0.0, kernels.STATUS_UNDERFLOW),
+            ([0.5, 0.7], 1.0, 1000, 1e-6, kernels.STATUS_OK),
+        ],
+        ids=["overflow", "underflow", "stop_below"],
+    )
+    def test_iterate_guards_match_packed(self, request, betas, x0, steps, floor, status):
+        factors = [_PielouClone(b).value for b in betas]
+        values, s = kernels.iterate(factors, x0, 0.0, steps, floor, 1e300)
+        assert s == status
+        assert len(values) < steps
+        packed = kernels.pack_system(PeriodicSystem([Pielou(b) for b in betas]))
+        references = [_fallback.simulate_packed]
+        if shutil.which("cc") is not None:
+            references.append(request.getfixturevalue("compiled"))
+        for reference in references:
+            ref_values, ref_status = reference(*packed, x0, 0.0, steps, floor, 1e300)
+            assert ref_status == s
+            assert np.array_equal(ref_values, values)
+
 
 class TestResidueStats:
     def test_constant_trajectory(self, pielou_k1):
@@ -163,7 +168,7 @@ class TestResidueStats:
         st_a = residue_stats(traj, 20)
         st_b = residue_stats(traj, 80)
         assert st_b.sup_est[0] < st_a.sup_est[0]
-        assert st_a.sup_est[0] <= traj.value(20)
+        assert st_a.sup_est[0] <= traj.values[19]
 
     def test_collapse_with_growing_burn_in(self, pielou_k2):
         traj = simulate(pielou_k2, 5.0, 0.0, 4_000)
@@ -176,6 +181,21 @@ class TestResidueStats:
             residue_stats(traj, 50)
         with pytest.raises(ValueError):
             residue_stats(traj, -1)
+
+    def test_matches_brute_force_k7(self):
+        from pplab.dynamics import _tail_cycle
+
+        system = PeriodicSystem([Pielou(b) for b in (0.6, 1.4, 2.2, 0.9, 1.7, 3.1, 0.8)])
+        traj = simulate(system, 0.3, 2.0, 1_000)  # 1000 is not a multiple of k either
+        burn_in = 53  # not a multiple of k
+        st = residue_stats(traj, burn_in)
+        last = _tail_cycle(traj)
+        for h in range(1, 8):
+            sel = [traj.values[n - 1] for n in range(burn_in + 1, len(traj) + 1) if (n - 1) % 7 + 1 == h]
+            assert st.sup_est[h - 1] == max(sel)
+            assert st.inf_est[h - 1] == min(sel)
+            assert last[h - 1] == sel[-1]
+        assert st.tail_length == len(traj) - burn_in
 
     def test_empty_residue_tail(self):
         system = PeriodicSystem([Pielou(1.0), Pielou(1.2), Pielou(1.3)])

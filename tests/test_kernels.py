@@ -1,7 +1,5 @@
 import importlib
 import os
-import shutil
-import subprocess
 
 import numpy as np
 import pytest
@@ -15,23 +13,6 @@ from pplab import (
     kernels,
 )
 from pplab.kernels import _fallback
-
-
-@pytest.fixture(scope="session")
-def compiled(tmp_path_factory):
-    """simulate_packed of _kernel.c, compiled here and bound by the package's loader."""
-    cc = shutil.which("cc")
-    if cc is None:
-        pytest.skip("no C compiler (cc) on PATH")
-    out_dir = tmp_path_factory.mktemp("kernel")
-    source = os.path.join(os.path.dirname(kernels.__file__), "_kernel.c")
-    subprocess.run(
-        [cc, "-O3", "-ffp-contract=off", "-shared", "-fPIC", source, "-o", str(out_dir / "_kernel.so")],
-        check=True,
-    )
-    simulate_packed = kernels._load_compiled(str(out_dir), "_kernel.so")
-    assert simulate_packed is not None
-    return simulate_packed
 
 
 def _mixed_system():
