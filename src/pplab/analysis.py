@@ -82,21 +82,17 @@ class GridSpec:
     """Abscissae for the monotonicity guard.
 
     ``points`` log-spaced nodes spanning six decades up to x_max, with zero
-    prepended.  ``margin`` is the slack each consecutive difference must
-    clear; zero demands plain strict monotonicity.
+    prepended.
     """
 
     x_max: float = 100.0
     points: int = 256
-    margin: float = 0.0
 
     def __post_init__(self):
         if not (math.isfinite(self.x_max) and self.x_max > 0.0):
             raise ValueError(f"x_max must be positive, got {self.x_max!r}")
         if self.points < 2:
             raise ValueError(f"points must be >= 2, got {self.points!r}")
-        if self.margin < 0.0:
-            raise ValueError(f"margin must be >= 0, got {self.margin!r}")
 
     def abscissae(self) -> np.ndarray:
         return np.concatenate(
@@ -108,10 +104,10 @@ class GridSpec:
 class HypothesisReport:
     """Per-slot outcomes of the monotonicity checks on a finite grid.
 
-    decreasing_ok[i]: f_i strictly decreases (margin-adjusted) between all
-    consecutive grid points; xf_increasing_ok[i]: x * f_i(x) strictly
-    increases.  worst_violation is the most negative margin-adjusted
-    difference seen anywhere, 0.0 when every check passes.
+    decreasing_ok[i]: f_i strictly decreases between all consecutive grid
+    points; xf_increasing_ok[i]: x * f_i(x) strictly increases.
+    worst_violation is the most negative difference seen anywhere, 0.0 when
+    every check passes.
     """
 
     decreasing_ok: tuple[bool, ...]
@@ -139,13 +135,9 @@ def check_hypotheses(system: PeriodicSystem, grid: GridSpec = GridSpec()) -> Hyp
         dec_diffs = vals[:-1] - vals[1:]
         xf = xs * vals
         inc_diffs = xf[1:] - xf[:-1]
-        dec_ok.append(bool(np.all(dec_diffs > grid.margin)))
-        inc_ok.append(bool(np.all(inc_diffs > grid.margin)))
-        worst = min(
-            worst,
-            float(dec_diffs.min() - grid.margin),
-            float(inc_diffs.min() - grid.margin),
-        )
+        dec_ok.append(bool(np.all(dec_diffs > 0.0)))
+        inc_ok.append(bool(np.all(inc_diffs > 0.0)))
+        worst = min(worst, float(dec_diffs.min()), float(inc_diffs.min()))
     return HypothesisReport(
         decreasing_ok=tuple(dec_ok),
         xf_increasing_ok=tuple(inc_ok),

@@ -162,12 +162,13 @@ class PeriodicSystem:
         return self.family_at(n).value(x)
 
 
-# Tagged-record wire format used by scenario files.
+# Tagged-record wire format used by scenario files:
+# tag -> (class, {record field: attribute}).
 
-_FAMILY_FIELDS = {
-    "pielou": ("beta",),
-    "beverton_holt": ("lambda", "capacity"),
-    "rational": ("beta", "alpha1", "alpha2"),
+_FAMILIES = {
+    "pielou": (Pielou, {"beta": "beta"}),
+    "beverton_holt": (BevertonHolt, {"lambda": "lam", "capacity": "capacity"}),
+    "rational": (RationalSaturating, {"beta": "beta", "alpha1": "alpha1", "alpha2": "alpha2"}),
 }
 
 
@@ -176,12 +177,12 @@ def family_from_record(record: dict) -> CoefficientFamily:
     if not isinstance(record, dict):
         raise ValueError(f"family record must be an object, got {record!r}")
     tag = record.get("family")
-    if tag not in _FAMILY_FIELDS:
-        known = ", ".join(sorted(_FAMILY_FIELDS))
+    if not isinstance(tag, str) or tag not in _FAMILIES:
+        known = ", ".join(sorted(_FAMILIES))
         raise ValueError(f"unknown family tag {tag!r} (expected one of: {known})")
-    expected = _FAMILY_FIELDS[tag]
-    extra = set(record) - {"family", *expected}
-    missing = [f for f in expected if f not in record]
+    cls, fields = _FAMILIES[tag]
+    extra = set(record) - {"family", *fields}
+    missing = [f for f in fields if f not in record]
     if missing or extra:
         problems = []
         if missing:
@@ -190,29 +191,21 @@ def family_from_record(record: dict) -> CoefficientFamily:
             problems.append(f"unexpected {sorted(extra)}")
         raise ValueError(f"family {tag!r}: " + "; ".join(problems))
     params = {}
-    for field in expected:
+    for field, attr in fields.items():
         raw = record[field]
         if isinstance(raw, bool) or not isinstance(raw, (int, float)):
             raise ValueError(f"family {tag!r}: parameter {field!r} must be a number, got {raw!r}")
-        params[field] = float(raw)
-    if tag == "pielou":
-        return Pielou(beta=params["beta"])
-    if tag == "beverton_holt":
-        return BevertonHolt(lam=params["lambda"], capacity=params["capacity"])
-    return RationalSaturating(beta=params["beta"], alpha1=params["alpha1"], alpha2=params["alpha2"])
+        try:
+            params[attr] = float(raw)
+        except OverflowError:  # an integer beyond the range of doubles; the class rejects inf
+            params[attr] = math.inf
+    return cls(**params)
 
 
 def family_to_record(family: CoefficientFamily) -> dict:
     """Inverse of :func:`family_from_record` for the built-in families."""
-    if isinstance(family, Pielou):
-        return {"family": "pielou", "beta": family.beta}
-    if isinstance(family, BevertonHolt):
-        return {"family": "beverton_holt", "lambda": family.lam, "capacity": family.capacity}
-    if isinstance(family, RationalSaturating):
-        return {
-            "family": "rational",
-            "beta": family.beta,
-            "alpha1": family.alpha1,
-            "alpha2": family.alpha2,
-        }
+    for tag, (cls, fields) in _FAMILIES.items():
+        if isinstance(family, cls):
+            params = {field: getattr(family, attr) for field, attr in fields.items()}
+            return {"family": tag, **params}
     raise ValueError(f"no record form for custom family {family!r}")

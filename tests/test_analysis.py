@@ -114,7 +114,7 @@ class _Wiggle(CoefficientFamily):
 
 class TestHypothesisChecks:
     def test_builtins_pass(self, pielou_k1, beverton_k1):
-        grid = GridSpec(x_max=100.0, points=64, margin=0.0)
+        grid = GridSpec(x_max=100.0, points=64)
         for system in (pielou_k1, beverton_k1):
             report = check_hypotheses(system, grid)
             assert report.all_ok
@@ -138,8 +138,6 @@ class TestHypothesisChecks:
             GridSpec(x_max=0.0)
         with pytest.raises(ValueError):
             GridSpec(points=1)
-        with pytest.raises(ValueError):
-            GridSpec(margin=-1.0)
 
 
 class TestRootSolve:

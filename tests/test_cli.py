@@ -161,20 +161,28 @@ class TestCommands:
 
     def test_full_on_out_of_theory_surfaces_overflow(self, tmp_path):
         # unbounded regime: orbit is inapplicable and the trajectory blows
-        # past the overflow guard; both are structured report entries
-        scenario = write_scenario(
-            tmp_path / "o.json",
-            period=1,
-            coefficients=[{"family": "rational", "beta": 2.0, "alpha1": 1.0, "alpha2": 2.0}],
-            steps=20_000,
-        )
-        out = tmp_path / "out"
-        assert run("full", scenario, out) == 2
-        report = read_report(out)
-        assert report["orbit"]["status"] == "not_applicable"
-        assert report["trajectory"]["status"] == "failed"
-        assert "overflow" in report["trajectory"]["reason"]
-        assert report["status"]["ok"] is False
+        # past the overflow guard.  f(x) rounds to 0 for the second system,
+        # so its trajectory underflows to zero at the first step.  Both are
+        # structured report entries, and either one alone gives exit 2.
+        rational = {"family": "rational", "beta": 2.0, "alpha1": 1.0, "alpha2": 2.0}
+        beverton = {"family": "beverton_holt", "lambda": 1e300, "capacity": 1e-300}
+        cases = [
+            (rational, 20_000, "not_applicable", "overflow"),
+            (beverton, 100, "failed", "underflow"),
+        ]
+        for i, (record, steps, orbit_status, guard) in enumerate(cases):
+            scenario = write_scenario(
+                tmp_path / f"o{i}.json", period=1, coefficients=[record], steps=steps
+            )
+            out = tmp_path / f"out{i}"
+            assert run("full", scenario, out) == 2
+            report = read_report(out)
+            assert report["orbit"]["status"] == orbit_status
+            assert report["trajectory"]["status"] == "failed"
+            assert guard in report["trajectory"]["reason"]
+            assert report["status"]["failures"][-1] == f"trajectory: {report['trajectory']['reason']}"
+            assert report["status"]["ok"] is False
+            assert run("simulate", scenario, tmp_path / f"sim{i}") == 2
 
     def test_simulate_stops_early_on_hard_decay(self, tmp_path):
         scenario = write_scenario(
@@ -190,6 +198,43 @@ class TestCommands:
         assert report["trajectory"]["stopped_early"] is True
         assert report["trajectory"]["stored_steps"] < 4000
         assert report["residue_stats"]["tail_length"] > 0
+
+    @pytest.mark.parametrize(
+        "command, periodic, sections",
+        [
+            ("analyze", True, "classification hypotheses permanence"),
+            ("simulate", True, "trajectory residue_stats"),
+            ("orbit", True, "classification hypotheses permanence orbit relation_residuals"),
+            ("verify", True, "classification hypotheses permanence orbit relation_residuals verification"),
+            (
+                "full",
+                True,
+                "classification hypotheses permanence orbit relation_residuals verification"
+                " trajectory residue_stats",
+            ),
+            ("analyze", False, "classification hypotheses"),
+            ("simulate", False, "trajectory residue_stats"),
+            ("orbit", False, "classification hypotheses orbit"),
+            ("verify", False, "classification hypotheses orbit"),
+            ("full", False, "classification hypotheses orbit trajectory residue_stats"),
+        ],
+    )
+    def test_report_section_order(self, scenario_file, tmp_path, command, periodic, sections):
+        scenario = scenario_file
+        if not periodic:  # zero attractive: beta product 0.75
+            scenario = write_scenario(
+                tmp_path / "z.json",
+                coefficients=[{"family": "pielou", "beta": 0.5}, {"family": "pielou", "beta": 1.5}],
+            )
+        out = tmp_path / "out"
+        run(command, scenario, out)
+        report = read_report(out)
+        assert list(report) == [
+            "tool", "version", "command", "backend", "scenario", *sections.split(), "status"
+        ]
+        assert list(report["scenario"]) == [
+            "period", "coefficients", "initial", "steps", "burn_in", "tolerances", "verify", "outputs"
+        ]
 
 
 class TestDeterminismAndRoundTrip:
@@ -310,6 +355,17 @@ class TestScenarioValidation:
             {"verify": {"n_initials": 0}},
             {"outputs": {"report_path": ""}},
             {"verify": {"seed": -3}},
+            {"tolerances": {"root_tol": float("inf")}},
+            {"tolerances": {"orbit_tol": float("inf")}},
+            {"tolerances": {"verify_tol": float("inf")}},
+            {"initial": []},  # a section that is not an object
+            {"verify": {"typo": 1}},
+            {"initial": {"x0": "one"}},
+            {"verify": {"n_initials": 2.5}},
+            {"outputs": {"trajectory_csv_path": ""}},
+            {"initial": {"x0": 10**400}},  # an integer no double can hold
+            {"coefficients": [{"family": ["pielou"], "beta": 0.5}, {"family": "pielou", "beta": 3.0}]},
+            {"coefficients": [{"family": "pielou", "beta": 10**400}, {"family": "pielou", "beta": 3.0}]},
         ],
     )
     def test_field_validation(self, tmp_path, overrides):
