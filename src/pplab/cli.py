@@ -50,6 +50,9 @@ from pplab.models import PeriodicSystem, family_from_record, family_to_record
 # trajectory value stays strictly positive.
 SIMULATE_FLOOR = 1e-300
 
+# Longest run a scenario may ask for; the kernels allocate all steps up front.
+MAX_STEPS = 10**9
+
 # The scenario settings besides period, coefficients and steps, in echo order:
 # section -> (key, kind, default, lower bound as (">" or ">=", value)) rows.
 # A str setting must be a non-empty string; one whose default is None is
@@ -138,6 +141,8 @@ def load_scenario(path) -> SimpleNamespace:
         except ValueError as exc:
             raise ScenarioError(f"coefficients[{i}]: {exc}") from exc
     steps = _check("steps", data.get("steps", 20_000 * period), int, (">=", period))
+    if steps > MAX_STEPS:
+        raise ScenarioError(f"steps must be an integer <= {MAX_STEPS}, got {steps}")
 
     settings = {}
     for section, rows in _SETTINGS.items():

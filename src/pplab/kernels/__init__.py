@@ -16,6 +16,13 @@ install with a C compiler) and loaded through ctypes; the call releases the
 GIL.  Arithmetic order is identical in both, and the C file is compiled
 without FP contraction, so the two produce bit-identical trajectories.
 
+Both stop iterating once the state (x[n-1], x[n]) repeats exactly at the
+same slot, which a converged periodic run reaches in floating point, and fill
+the remaining values by repeating the stretch since the earlier occurrence.
+The values and status are those of the full loop, because a step depends only
+on the slot and that state.  The factors given to ``iterate`` must therefore
+be pure functions of x.
+
 Set ``PPLAB_PURE_PYTHON=1`` to force the fallback.
 """
 

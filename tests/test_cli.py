@@ -366,6 +366,8 @@ class TestScenarioValidation:
             {"initial": {"x0": 10**400}},  # an integer no double can hold
             {"coefficients": [{"family": ["pielou"], "beta": 0.5}, {"family": "pielou", "beta": 3.0}]},
             {"coefficients": [{"family": "pielou", "beta": 10**400}, {"family": "pielou", "beta": 3.0}]},
+            {"steps": 10**9 + 1},  # above the longest run a scenario may ask for
+            {"steps": 10**30},
         ],
     )
     def test_field_validation(self, tmp_path, overrides):

@@ -1,8 +1,12 @@
 import importlib
 import os
+import shutil
+from itertools import cycle, islice
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pplab import (
     BevertonHolt,
@@ -12,7 +16,67 @@ from pplab import (
     RationalSaturating,
     kernels,
 )
+from pplab.analysis import solve_product_root
 from pplab.kernels import _fallback
+
+
+def reference_iterate(factors, x0, xm1, steps, stop_below, overflow_limit):
+    """The recursion without the cycle lock: every step calls its factor."""
+    values = []
+    prev = float(xm1)
+    cur = float(x0)
+    status = 0
+    for f in islice(cycle(factors[-1:] + factors[:-1]), steps):
+        nxt = cur * f(prev)
+        values.append(nxt)
+        prev = cur
+        cur = nxt
+        if nxt > overflow_limit:
+            status = 1
+            break
+        if nxt <= 0.0:
+            status = 2
+            break
+        if nxt < stop_below:
+            break
+    return np.array(values, dtype=np.float64), status
+
+
+@pytest.fixture(scope="session")
+def compiled_if_cc(request):
+    """The compiled kernel where ``cc`` exists, else None."""
+    return request.getfixturevalue("compiled") if shutil.which("cc") else None
+
+
+def _packed_factors(packed):
+    # The fallback's closed forms, whose arithmetic the compiled kernel repeats.
+    return [_fallback._closed_form(int(c), float(a), float(b), float(g)) for c, a, b, g in zip(*packed)]
+
+
+def _counted(factors):
+    # The factors with one shared call counter, calls[0].
+    calls = [0]
+
+    def wrap(f):
+        def counted(x):
+            calls[0] += 1
+            return f(x)
+
+        return counted
+
+    return [wrap(f) for f in factors], calls
+
+
+_families = st.one_of(
+    st.builds(Pielou, st.floats(0.2, 5.0)),
+    st.builds(BevertonHolt, lam=st.floats(1.1, 6.0), capacity=st.floats(0.5, 8.0)),
+    st.builds(
+        RationalSaturating,
+        beta=st.floats(0.2, 5.0),
+        alpha1=st.floats(0.1, 3.0),
+        alpha2=st.floats(0.1, 3.0),
+    ),
+)
 
 
 def _mixed_system():
@@ -153,3 +217,74 @@ class TestBackendSelection:
             else:
                 monkeypatch.setenv("PPLAB_PURE_PYTHON", original)
             importlib.reload(mod)
+
+
+class TestCycleLock:
+    # Both kernels stop once the state (x[n-1], x[n]) repeats at a block end
+    # and fill the rest by repetition; the output must be that of the full loop.
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        families=st.lists(_families, min_size=1, max_size=8),
+        x0=st.floats(0.01, 10.0),
+        xm1=st.one_of(st.just(0.0), st.floats(0.01, 10.0)),
+        steps=st.integers(1, 20_000),
+        stop_below=st.sampled_from([0.0, 1e-3]),
+    )
+    def test_matches_reference_loop(self, compiled_if_cc, families, x0, xm1, steps, stop_below):
+        packed = kernels.pack_system(PeriodicSystem(families))
+        factors = _packed_factors(packed)
+        want, want_status = reference_iterate(factors, x0, xm1, steps, stop_below, 1e300)
+        got, status = kernels.iterate(factors, x0, xm1, steps, stop_below, 1e300)
+        assert status == want_status
+        assert got.tobytes() == want.tobytes()
+        if compiled_if_cc is not None:
+            fast, fast_status = compiled_if_cc(*packed, x0, xm1, steps, stop_below, 1e300)
+            assert fast_status == want_status
+            assert fast.tobytes() == want.tobytes()
+
+    def test_machine_cycle_longer_than_period(self, compiled_if_cc):
+        # This k = 2 system settles into a machine cycle of 14 = 7k steps, so
+        # the fill length must be a multiple of that, not of k.
+        system = PeriodicSystem(
+            [
+                BevertonHolt(lam=2.298622152225007, capacity=15.747217808585894),
+                BevertonHolt(lam=2.8295704311514176, capacity=12.85419192573737),
+            ]
+        )
+        packed = kernels.pack_system(system)
+        factors = _packed_factors(packed)
+        root = solve_product_root(system)
+        want, want_status = reference_iterate(factors, root, 0.0, 60_000, 0.0, 1e300)
+        tail = want[-1_000:]
+        assert np.array_equal(tail[14:], tail[:-14])
+        assert not np.array_equal(tail[2:], tail[:-2])
+        got, status = kernels.iterate(factors, root, 0.0, 60_000, 0.0, 1e300)
+        assert status == want_status == kernels.STATUS_OK
+        assert got.tobytes() == want.tobytes()
+        if compiled_if_cc is not None:
+            fast, fast_status = compiled_if_cc(*packed, root, 0.0, 60_000, 0.0, 1e300)
+            assert fast_status == want_status
+            assert fast.tobytes() == want.tobytes()
+
+    def test_factor_calls_stop_at_the_lock(self, pielou_k2):
+        factors, calls = _counted([fam.value for fam in pielou_k2.coefficients])
+        values, status = kernels.iterate(factors, 1.0, 1.0, 40_000, 0.0, 1e300)
+        assert status == kernels.STATUS_OK
+        assert len(values) == 40_000
+        assert calls[0] <= 2_000
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError, match="one callable per slot"):
+            kernels.iterate([], 1.0, 1.0, 10, 0.0, 1e300)
+        with pytest.raises(ValueError, match="steps"):
+            kernels.iterate([Pielou(2.0).value], 1.0, 1.0, -1, 0.0, 1e300)
+
+    def test_factor_called_every_step_without_repeat(self):
+        # A strictly decaying run never repeats its state, so nothing is filled.
+        steps = 100_000
+        factors, calls = _counted([Pielou(0.99995).value])
+        values, status = kernels.iterate(factors, 1.0, 1.0, steps, 0.0, 1e300)
+        assert status == kernels.STATUS_OK
+        assert len(values) == steps
+        assert calls[0] == steps
